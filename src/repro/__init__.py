@@ -185,125 +185,121 @@ workers mid-lease, then asserts byte-identical convergence.  See
 ``docs/dispatch.md``.
 """
 
-from repro.analysis.fairness import fairness_report, max_min_allocation
-from repro.analysis.sweep import latency_throughput_sweep
-from repro.campaign import (
-    CAMPAIGNS,
-    CampaignResult,
-    CampaignRunner,
-    CampaignSpec,
-    ReportCard,
-    StageReport,
-    StageSpec,
-    get_campaign,
-    run_campaign,
-)
-from repro.core.chip import Chip, ChipConfig
-from repro.core.domain import Domain, is_convex, xy_path
-from repro.core.hypervisor import Hypervisor, VirtualMachine
-from repro.core.memctrl import MemoryController
-from repro.core.system import TopologyAwareSystem
-from repro.dispatch import (
-    Broker,
-    BrokerServer,
-    DispatchExecutor,
-    HttpTransport,
-    LocalTransport,
-    WorkerAgent,
-)
-from repro.errors import (
-    AllocationError,
-    CampaignError,
-    CampaignInterrupted,
-    ConfigurationError,
-    ConvexityError,
-    DispatchError,
-    ExecutionFailed,
-    IsolationError,
-    ModelError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-    TraceOverflowError,
-    TrafficError,
-    TransportError,
-)
-from repro.models.area import RouterAreaModel
-from repro.models.energy import RouterEnergyModel
-from repro.models.technology import TechnologyParameters
-from repro.network.config import SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.packet import ClosedLoopSpec, FlowSpec, Packet
-from repro.network.trace import InjectionCapture, TraceRecorder
-from repro.obs import (
-    ObsSession,
-    ProbeBus,
-    TelemetryExecutor,
-    WindowedMetrics,
-    read_metrics,
-    render_report,
-)
-from repro.qos import (
-    GsfPolicy,
-    NoQosPolicy,
-    PolicyCapabilities,
-    PolicyEntry,
-    QosPolicy,
-    available_policies,
-    create_policy,
-    get_policy,
-    policy_entries,
-    register_policy,
-)
-from repro.resilience import (
-    ChaosReport,
-    FailureRecord,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    load_plan,
-    run_chaos,
-)
-from repro.qos.perflow import PerFlowQueuedPolicy
-from repro.qos.pvc import PvcPolicy
-from repro.runtime import (
-    BatchResult,
-    GridResult,
-    ParallelExecutor,
-    ResultCache,
-    RunManifest,
-    RunResult,
-    RunSpec,
-    SerialExecutor,
-    execute_spec,
-    run_batch,
-    run_grid,
-)
-from repro.scenarios import (
-    InjectionProcess,
-    OnOffProcess,
-    ParetoBurstProcess,
-    Phase,
-    PhasedProcess,
-    ScenarioTrace,
-    bursty_workload,
-    closed_loop_workload,
-    pareto_workload,
-    phased_workload,
-    read_trace,
-    replayed_workload,
-    write_trace,
-)
-from repro.topologies.registry import TOPOLOGY_NAMES, get_topology
-from repro.traffic.workloads import (
-    full_column_workload,
-    hotspot_all_injectors,
-    tornado_workload,
-    uniform_workload,
-    workload1,
-    workload2,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "fairness_report": ".analysis.fairness",
+    "max_min_allocation": ".analysis.fairness",
+    "latency_throughput_sweep": ".analysis.sweep",
+    "CAMPAIGNS": ".campaign.builtin",
+    "CampaignResult": ".campaign.runner",
+    "CampaignRunner": ".campaign.runner",
+    "CampaignSpec": ".campaign.spec",
+    "ReportCard": ".campaign.report",
+    "StageReport": ".campaign.report",
+    "StageSpec": ".campaign.spec",
+    "get_campaign": ".campaign.builtin",
+    "run_campaign": ".campaign.runner",
+    "Chip": ".core.chip",
+    "ChipConfig": ".core.chip",
+    "Domain": ".core.domain",
+    "is_convex": ".core.domain",
+    "xy_path": ".core.domain",
+    "Hypervisor": ".core.hypervisor",
+    "VirtualMachine": ".core.hypervisor",
+    "MemoryController": ".core.memctrl",
+    "TopologyAwareSystem": ".core.system",
+    "Broker": ".dispatch.broker",
+    "BrokerServer": ".dispatch.httpd",
+    "DispatchExecutor": ".dispatch.executor",
+    "HttpTransport": ".dispatch.transport",
+    "LocalTransport": ".dispatch.transport",
+    "WorkerAgent": ".dispatch.worker",
+    "AllocationError": ".errors",
+    "CampaignError": ".errors",
+    "CampaignInterrupted": ".errors",
+    "ConfigurationError": ".errors",
+    "ConvexityError": ".errors",
+    "DispatchError": ".errors",
+    "ExecutionFailed": ".errors",
+    "IsolationError": ".errors",
+    "ModelError": ".errors",
+    "ReproError": ".errors",
+    "SimulationError": ".errors",
+    "TopologyError": ".errors",
+    "TraceOverflowError": ".errors",
+    "TrafficError": ".errors",
+    "TransportError": ".errors",
+    "RouterAreaModel": ".models.area",
+    "RouterEnergyModel": ".models.energy",
+    "TechnologyParameters": ".models.technology",
+    "SimulationConfig": ".network.config",
+    "ColumnSimulator": ".network.engine",
+    "ClosedLoopSpec": ".network.packet",
+    "FlowSpec": ".network.packet",
+    "Packet": ".network.packet",
+    "InjectionCapture": ".network.trace",
+    "TraceRecorder": ".network.trace",
+    "ObsSession": ".obs.collect",
+    "ProbeBus": ".obs.probes",
+    "TelemetryExecutor": ".obs.telemetry",
+    "WindowedMetrics": ".obs.collect",
+    "read_metrics": ".obs.metricsfmt",
+    "render_report": ".obs.report",
+    "GsfPolicy": ".qos.gsf",
+    "NoQosPolicy": ".qos.base",
+    "PolicyCapabilities": ".qos.base",
+    "PolicyEntry": ".qos.registry",
+    "QosPolicy": ".qos.base",
+    "available_policies": ".qos.registry",
+    "create_policy": ".qos.registry",
+    "get_policy": ".qos.registry",
+    "policy_entries": ".qos.registry",
+    "register_policy": ".qos.registry",
+    "ChaosReport": ".resilience.chaos",
+    "FailureRecord": ".resilience.policy",
+    "Fault": ".resilience.faults",
+    "FaultInjector": ".resilience.faults",
+    "FaultPlan": ".resilience.faults",
+    "RetryPolicy": ".resilience.policy",
+    "load_plan": ".resilience.faults",
+    "run_chaos": ".resilience.chaos",
+    "PerFlowQueuedPolicy": ".qos.perflow",
+    "PvcPolicy": ".qos.pvc",
+    "BatchResult": ".runtime.runner",
+    "GridResult": ".runtime.runner",
+    "ParallelExecutor": ".runtime.executor",
+    "ResultCache": ".runtime.cache",
+    "RunManifest": ".runtime.runner",
+    "RunResult": ".runtime.spec",
+    "RunSpec": ".runtime.spec",
+    "SerialExecutor": ".runtime.executor",
+    "execute_spec": ".runtime.spec",
+    "run_batch": ".runtime.runner",
+    "run_grid": ".runtime.runner",
+    "InjectionProcess": ".scenarios.injection",
+    "OnOffProcess": ".scenarios.injection",
+    "ParetoBurstProcess": ".scenarios.injection",
+    "Phase": ".scenarios.injection",
+    "PhasedProcess": ".scenarios.injection",
+    "ScenarioTrace": ".scenarios.tracefmt",
+    "bursty_workload": ".scenarios.workloads",
+    "closed_loop_workload": ".scenarios.workloads",
+    "pareto_workload": ".scenarios.workloads",
+    "phased_workload": ".scenarios.workloads",
+    "read_trace": ".scenarios.tracefmt",
+    "replayed_workload": ".scenarios.workloads",
+    "write_trace": ".scenarios.tracefmt",
+    "TOPOLOGY_NAMES": ".topologies.registry",
+    "get_topology": ".topologies.registry",
+    "full_column_workload": ".traffic.workloads",
+    "hotspot_all_injectors": ".traffic.workloads",
+    "tornado_workload": ".traffic.workloads",
+    "uniform_workload": ".traffic.workloads",
+    "workload1": ".traffic.workloads",
+    "workload2": ".traffic.workloads",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 # 1.2.0: activity-tracked engine (geometric inter-arrival sampling +
 # cycle skipping).  1.3.0: saturation hot path — incremental PVC

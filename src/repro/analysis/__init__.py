@@ -6,14 +6,21 @@ and the Section 5.2 saturation-preemption statistics); each returns
 structured results and can render the same rows the paper reports.
 """
 
-from repro.analysis.chip_study import format_chip_study, run_chip_study
-from repro.analysis.fairness import (
-    FairnessReport,
-    fairness_report,
-    max_min_allocation,
-)
-from repro.analysis.report import ReportOptions, generate_report, write_report
-from repro.analysis.sweep import LatencyPoint, latency_throughput_sweep
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "format_chip_study": ".chip_study",
+    "run_chip_study": ".chip_study",
+    "FairnessReport": ".fairness",
+    "fairness_report": ".fairness",
+    "max_min_allocation": ".fairness",
+    "ReportOptions": ".report",
+    "generate_report": ".report",
+    "write_report": ".report",
+    "LatencyPoint": ".sweep",
+    "latency_throughput_sweep": ".sweep",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FairnessReport",

@@ -21,25 +21,25 @@ module                 question
 =====================  ====================================================
 """
 
-from repro.analysis.ablations.frame import format_frame_ablation, run_frame_ablation
-from repro.analysis.ablations.patience import (
-    format_patience_ablation,
-    run_patience_ablation,
-)
-from repro.analysis.ablations.quota import format_quota_ablation, run_quota_ablation
-from repro.analysis.ablations.replica_policy import (
-    format_replica_ablation,
-    run_replica_ablation,
-)
-from repro.analysis.ablations.reserved_vc import (
-    format_reserved_vc_ablation,
-    run_reserved_vc_ablation,
-)
-from repro.analysis.ablations.topology_extension import (
-    format_fbfly_study,
-    run_fbfly_study,
-)
-from repro.analysis.ablations.window import format_window_ablation, run_window_ablation
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "format_frame_ablation": ".frame",
+    "run_frame_ablation": ".frame",
+    "format_patience_ablation": ".patience",
+    "run_patience_ablation": ".patience",
+    "format_quota_ablation": ".quota",
+    "run_quota_ablation": ".quota",
+    "format_replica_ablation": ".replica_policy",
+    "run_replica_ablation": ".replica_policy",
+    "format_reserved_vc_ablation": ".reserved_vc",
+    "run_reserved_vc_ablation": ".reserved_vc",
+    "format_fbfly_study": ".topology_extension",
+    "run_fbfly_study": ".topology_extension",
+    "format_window_ablation": ".window",
+    "run_window_ablation": ".window",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "format_fbfly_study",

@@ -23,24 +23,31 @@ continues from the manifest checkpoint and produces byte-identical
 artifacts.  CLI: ``repro campaign list|run|status|resume|report|diff``.
 """
 
-from repro.campaign.builtin import CAMPAIGNS, get_campaign
-from repro.campaign.doctor import CampaignFsckReport, fsck_campaign
-from repro.campaign.report import (
-    BASELINE_FILENAME,
-    ReportCard,
-    StageReport,
-    compare_rows,
-    load_baseline,
-    update_baseline,
-)
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignRunner,
-    run_campaign,
-    stage_digests,
-)
-from repro.campaign.spec import CampaignSpec, StageSpec, stage_hash
-from repro.campaign.stages import STAGE_ADAPTERS, STAGE_KINDS, get_adapter
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "CAMPAIGNS": ".builtin",
+    "get_campaign": ".builtin",
+    "CampaignFsckReport": ".doctor",
+    "fsck_campaign": ".doctor",
+    "BASELINE_FILENAME": ".report",
+    "ReportCard": ".report",
+    "StageReport": ".report",
+    "compare_rows": ".report",
+    "load_baseline": ".report",
+    "update_baseline": ".report",
+    "CampaignResult": ".runner",
+    "CampaignRunner": ".runner",
+    "run_campaign": ".runner",
+    "stage_digests": ".runner",
+    "CampaignSpec": ".spec",
+    "StageSpec": ".spec",
+    "stage_hash": ".spec",
+    "STAGE_ADAPTERS": ".stages",
+    "STAGE_KINDS": ".stages",
+    "get_adapter": ".stages",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BASELINE_FILENAME",

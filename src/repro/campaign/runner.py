@@ -42,6 +42,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import __version__
 from repro.campaign.report import ReportCard, build_report_card, load_baseline
 from repro.campaign.spec import (
     CAMPAIGN_SCHEMA_VERSION,
@@ -82,12 +83,6 @@ StopHook = Callable[[str, int], bool]
 #: once per completed simulation inside a shard (``repro campaign run
 #: --progress``); see :func:`repro.obs.heartbeat_printer`.
 CampaignHeartbeat = Callable[[str, int, int, str, bool], None]
-
-
-def _engine_version() -> str:
-    import repro
-
-    return repro.__version__
 
 
 class _RecordingExecutor(Executor):
@@ -225,7 +220,7 @@ class CampaignRunner:
         #: stage/shard lifecycle events; ``None`` costs one ``is not
         #: None`` check per event and is bit-neutral to artifacts.
         self.journal = journal
-        self.engine = _engine_version()
+        self.engine = __version__
         # Validate every stage kind eagerly: an unknown kind should fail
         # `campaign run` before any simulation, not mid-campaign.
         self._hashes = {

@@ -18,20 +18,32 @@ region that :mod:`repro.network` simulates at cycle level:
 * a QoS-aware memory-controller endpoint model.
 """
 
-from repro.core.allocator import DomainAllocator
-from repro.core.cache import (
-    CacheOrganisation,
-    domain_cache_analysis,
-    miss_ratio,
-    shared_wins,
-)
-from repro.core.chip import Chip, ChipConfig, NodeKind
-from repro.core.domain import Domain, is_convex, xy_path
-from repro.core.hypervisor import Hypervisor, VirtualMachine
-from repro.core.isolation import IsolationViolation, verify_isolation
-from repro.core.memctrl import MemoryController
-from repro.core.routing import RouterPath, route_inter_vm, route_intra_domain, route_to_shared
-from repro.core.system import TopologyAwareSystem
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "DomainAllocator": ".allocator",
+    "CacheOrganisation": ".cache",
+    "domain_cache_analysis": ".cache",
+    "miss_ratio": ".cache",
+    "shared_wins": ".cache",
+    "Chip": ".chip",
+    "ChipConfig": ".chip",
+    "NodeKind": ".chip",
+    "Domain": ".domain",
+    "is_convex": ".domain",
+    "xy_path": ".domain",
+    "Hypervisor": ".hypervisor",
+    "VirtualMachine": ".hypervisor",
+    "IsolationViolation": ".isolation",
+    "verify_isolation": ".isolation",
+    "MemoryController": ".memctrl",
+    "RouterPath": ".routing",
+    "route_inter_vm": ".routing",
+    "route_intra_domain": ".routing",
+    "route_to_shared": ".routing",
+    "TopologyAwareSystem": ".system",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CacheOrganisation",

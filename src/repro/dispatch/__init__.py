@@ -26,17 +26,22 @@ digests no matter how the network misbehaves — which is exactly what
 the ``repro chaos run --dispatch`` leg asserts.
 """
 
-from repro.dispatch.broker import (
-    BROKER_OPS,
-    Broker,
-    ManualClock,
-    MonotonicClock,
-    spec_hash_of,
-)
-from repro.dispatch.executor import DispatchExecutor
-from repro.dispatch.httpd import BrokerServer
-from repro.dispatch.transport import HttpTransport, LocalTransport, Transport
-from repro.dispatch.worker import WorkerAgent
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BROKER_OPS": ".broker",
+    "Broker": ".broker",
+    "ManualClock": ".broker",
+    "MonotonicClock": ".broker",
+    "spec_hash_of": ".broker",
+    "DispatchExecutor": ".executor",
+    "BrokerServer": ".httpd",
+    "HttpTransport": ".transport",
+    "LocalTransport": ".transport",
+    "Transport": ".transport",
+    "WorkerAgent": ".worker",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BROKER_OPS",

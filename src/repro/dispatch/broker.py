@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import __version__
 from repro.errors import DispatchError
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.cache import payload_sha256
@@ -212,8 +213,6 @@ class Broker:
     # -- protocol ops ---------------------------------------------------
 
     def _op_ping(self, payload: dict) -> dict:
-        from repro import __version__
-
         return {"ok": True, "engine": __version__, "counts": self._counts()}
 
     def _op_submit(self, payload: dict) -> dict:
@@ -480,8 +479,6 @@ class Broker:
         }
 
     def _op_metrics(self, payload: dict) -> dict:
-        from repro import __version__
-
         document = self._op_status(payload)
         document["engine"] = __version__
         document["journaling"] = self.journal is not None

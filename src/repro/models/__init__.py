@@ -10,10 +10,19 @@ stage is the most energy-hungry because of its long input lines, and DPS
 intermediate hops cost only a buffer access.
 """
 
-from repro.models.area import AreaBreakdown, RouterAreaModel
-from repro.models.energy import EnergyBreakdown, HopType, RouterEnergyModel
-from repro.models.geometry import BufferBank, RouterGeometry
-from repro.models.technology import TechnologyParameters
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "AreaBreakdown": ".area",
+    "RouterAreaModel": ".area",
+    "EnergyBreakdown": ".energy",
+    "HopType": ".energy",
+    "RouterEnergyModel": ".energy",
+    "BufferBank": ".geometry",
+    "RouterGeometry": ".geometry",
+    "TechnologyParameters": ".technology",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AreaBreakdown",

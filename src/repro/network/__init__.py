@@ -12,12 +12,23 @@ banks), output ports (serialised link/ejection resources), and per-packet
 routes.
 """
 
-from repro.network.config import SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.fabric import FabricBuild, OutputPort, Station, VirtualChannel
-from repro.network.metrics import NetworkStats
-from repro.network.packet import FlowSpec, Packet
-from repro.network.trace import TraceEvent, TraceKind, TraceRecorder
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "SimulationConfig": ".config",
+    "ColumnSimulator": ".engine",
+    "FabricBuild": ".fabric",
+    "OutputPort": ".fabric",
+    "Station": ".fabric",
+    "VirtualChannel": ".fabric",
+    "NetworkStats": ".metrics",
+    "FlowSpec": ".packet",
+    "Packet": ".packet",
+    "TraceEvent": ".trace",
+    "TraceKind": ".trace",
+    "TraceRecorder": ".trace",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ColumnSimulator",

@@ -22,49 +22,49 @@ See ``docs/observability.md`` for the probe catalogue and schemas,
 and ``docs/fleet.md`` for the journal format and span derivation.
 """
 
-from repro.obs.chrometrace import (
-    build_fleet_trace_events,
-    build_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.fleet import (
-    FleetTimeline,
-    JournalDoc,
-    JournalWriter,
-    check_timeline,
-    export_fleet_trace,
-    journal_digest,
-    merge_journals,
-    read_journal,
-    strip_wall,
-)
-from repro.obs.collect import (
-    DEFAULT_WINDOW,
-    EngineActivityCollector,
-    LifecycleCollector,
-    ObsSession,
-    WindowedMetrics,
-)
-from repro.obs.metricsfmt import (
-    DEFAULT_LATENCY_BUCKETS,
-    METRICS_FORMAT,
-    METRICS_VERSION,
-    MetricsDoc,
-    read_metrics,
-    read_run,
-    write_metrics,
-    write_run,
-)
-from repro.obs.probes import ENGINE_EVENTS, PACKET_EVENTS, PROBE_EVENTS, ProbeBus
-from repro.obs.report import discover_metrics, render_metrics_report, render_report
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    TELEMETRY_VERSION,
-    TelemetryExecutor,
-    heartbeat_printer,
-    write_runtime_telemetry,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "build_fleet_trace_events": ".chrometrace",
+    "build_trace_events": ".chrometrace",
+    "validate_chrome_trace": ".chrometrace",
+    "write_chrome_trace": ".chrometrace",
+    "FleetTimeline": ".fleet.fleetcollect",
+    "JournalDoc": ".fleet.journal",
+    "JournalWriter": ".fleet.journal",
+    "check_timeline": ".fleet.fleetcollect",
+    "export_fleet_trace": ".fleet.fleetcollect",
+    "journal_digest": ".fleet.journal",
+    "merge_journals": ".fleet.fleetcollect",
+    "read_journal": ".fleet.journal",
+    "strip_wall": ".fleet.journal",
+    "DEFAULT_WINDOW": ".collect",
+    "EngineActivityCollector": ".collect",
+    "LifecycleCollector": ".collect",
+    "ObsSession": ".collect",
+    "WindowedMetrics": ".collect",
+    "DEFAULT_LATENCY_BUCKETS": ".metricsfmt",
+    "METRICS_FORMAT": ".metricsfmt",
+    "METRICS_VERSION": ".metricsfmt",
+    "MetricsDoc": ".metricsfmt",
+    "read_metrics": ".metricsfmt",
+    "read_run": ".metricsfmt",
+    "write_metrics": ".metricsfmt",
+    "write_run": ".metricsfmt",
+    "ENGINE_EVENTS": ".probes",
+    "PACKET_EVENTS": ".probes",
+    "PROBE_EVENTS": ".probes",
+    "ProbeBus": ".probes",
+    "discover_metrics": ".report",
+    "render_metrics_report": ".report",
+    "render_report": ".report",
+    "TELEMETRY_FORMAT": ".telemetry",
+    "TELEMETRY_VERSION": ".telemetry",
+    "TelemetryExecutor": ".telemetry",
+    "heartbeat_printer": ".telemetry",
+    "write_runtime_telemetry": ".telemetry",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",

@@ -19,35 +19,32 @@ hook site is a ``journal is not None`` guard on a ``None`` default,
 and enabling it is bit-neutral to results and stage digests.
 """
 
-from repro.obs.fleet.fleetcollect import (
-    FleetTimeline,
-    check_timeline,
-    export_fleet_trace,
-    journal_paths,
-    merge_journals,
-)
-from repro.obs.fleet.journal import (
-    JOURNAL_EVENTS,
-    JOURNAL_FORMAT,
-    JOURNAL_VERSION,
-    JournalDoc,
-    JournalWriter,
-    journal_digest,
-    read_journal,
-    strip_wall,
-)
-from repro.obs.fleet.monitor import (
-    render_campaign_dashboard,
-    render_fleet_dashboard,
-    watch,
-)
-from repro.obs.fleet.spans import (
-    batch_trace_id,
-    lease_span_id,
-    span_id,
-    stage_trace_id,
-    trace_id,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "FleetTimeline": ".fleetcollect",
+    "check_timeline": ".fleetcollect",
+    "export_fleet_trace": ".fleetcollect",
+    "journal_paths": ".fleetcollect",
+    "merge_journals": ".fleetcollect",
+    "JOURNAL_EVENTS": ".journal",
+    "JOURNAL_FORMAT": ".journal",
+    "JOURNAL_VERSION": ".journal",
+    "JournalDoc": ".journal",
+    "JournalWriter": ".journal",
+    "journal_digest": ".journal",
+    "read_journal": ".journal",
+    "strip_wall": ".journal",
+    "render_campaign_dashboard": ".monitor",
+    "render_fleet_dashboard": ".monitor",
+    "watch": ".monitor",
+    "batch_trace_id": ".spans",
+    "lease_span_id": ".spans",
+    "span_id": ".spans",
+    "stage_trace_id": ".spans",
+    "trace_id": ".spans",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FleetTimeline",

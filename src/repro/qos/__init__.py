@@ -20,19 +20,25 @@ and campaigns.  See ``docs/qos.md`` for the policy contract and a
 walkthrough of adding a policy.
 """
 
-from repro.qos.base import NoQosPolicy, PolicyCapabilities, QosPolicy
-from repro.qos.flow_table import FlowTable
-from repro.qos.gsf import GsfPolicy
-from repro.qos.perflow import PerFlowQueuedPolicy
-from repro.qos.pvc import PROVISIONED_INJECTORS, PvcPolicy
-from repro.qos.registry import (
-    PolicyEntry,
-    available_policies,
-    create_policy,
-    get_policy,
-    policy_entries,
-    register_policy,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "NoQosPolicy": ".base",
+    "PolicyCapabilities": ".base",
+    "QosPolicy": ".base",
+    "FlowTable": ".flow_table",
+    "GsfPolicy": ".gsf",
+    "PerFlowQueuedPolicy": ".perflow",
+    "PROVISIONED_INJECTORS": ".pvc",
+    "PvcPolicy": ".pvc",
+    "PolicyEntry": ".registry",
+    "available_policies": ".registry",
+    "create_policy": ".registry",
+    "get_policy": ".registry",
+    "policy_entries": ".registry",
+    "register_policy": ".registry",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FlowTable",

@@ -17,22 +17,26 @@ the same stance.  Four pieces:
 * :mod:`~repro.resilience.chaos` — the three-leg harness proving a
   killed/corrupted/hung campaign converges to digests byte-identical
   to an undisturbed serial run.
-
-``chaos`` is imported lazily: it depends on :mod:`repro.campaign`,
-which itself (via the executor) imports this package.
 """
 
-from repro.resilience.faults import (
-    BUILTIN_PLANS,
-    FAULT_KINDS,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-    load_plan,
-)
-from repro.resilience.policy import FailureRecord, RetryPolicy
-from repro.resilience.pool import PoolOutcome, SupervisedWorkerPool
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BUILTIN_PLANS": ".faults",
+    "FAULT_KINDS": ".faults",
+    "Fault": ".faults",
+    "FaultInjector": ".faults",
+    "FaultPlan": ".faults",
+    "InjectedFault": ".faults",
+    "load_plan": ".faults",
+    "FailureRecord": ".policy",
+    "RetryPolicy": ".policy",
+    "PoolOutcome": ".pool",
+    "SupervisedWorkerPool": ".pool",
+    "ChaosReport": ".chaos",
+    "run_chaos": ".chaos",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BUILTIN_PLANS",
@@ -49,13 +53,3 @@ __all__ = [
     "load_plan",
     "run_chaos",
 ]
-
-_LAZY = {"ChaosReport", "run_chaos"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.resilience import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

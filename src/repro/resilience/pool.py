@@ -213,6 +213,8 @@ class SupervisedWorkerPool:
 
     def _idle_worker(self) -> _Worker | None:
         for worker in list(self._workers):
+            if self.degraded:
+                return None
             if worker.task is not None:
                 continue
             if not worker.process.is_alive():
@@ -357,6 +359,8 @@ class SupervisedWorkerPool:
                 poll = min(poll, max(0.0, waiting[0][0] - now))
             readable = _connection_wait([w.conn for w in busy], timeout=poll)
             for conn in readable:
+                if self.degraded:
+                    break  # the degraded branch reclaims the rest
                 worker = next(w for w in busy if w.conn is conn)
                 task = worker.task
                 if task is None:  # already handled this iteration
@@ -390,6 +394,8 @@ class SupervisedWorkerPool:
 
             now = time.monotonic()
             for worker in list(self._workers):
+                if self.degraded:
+                    break
                 if (
                     worker.task is not None
                     and worker.deadline is not None

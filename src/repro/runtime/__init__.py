@@ -20,36 +20,35 @@ Typical use::
     print(grid.manifest.summary())   # "... 0 simulated, 21 cached ..."
 """
 
-from repro.runtime.bench import (
-    EnginePoint,
-    EngineResult,
-    format_engine_bench,
-    record_engine_baseline,
-    run_engine_bench,
-)
-from repro.runtime.cache import CacheInfo, ResultCache, default_cache_dir
-from repro.runtime.executor import (
-    ExecutionOutcome,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-)
-from repro.runtime.runner import (
-    BatchResult,
-    GridResult,
-    RunManifest,
-    run_batch,
-    run_grid,
-)
-from repro.runtime.spec import (
-    PATTERNS,
-    POLICIES,
-    WORKLOAD_BUILDERS,
-    RunResult,
-    RunSpec,
-    build_flows,
-    execute_spec,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "EnginePoint": ".bench",
+    "EngineResult": ".bench",
+    "format_engine_bench": ".bench",
+    "record_engine_baseline": ".bench",
+    "run_engine_bench": ".bench",
+    "CacheInfo": ".cache",
+    "ResultCache": ".cache",
+    "default_cache_dir": ".cache",
+    "ExecutionOutcome": ".executor",
+    "Executor": ".executor",
+    "ParallelExecutor": ".executor",
+    "SerialExecutor": ".executor",
+    "BatchResult": ".runner",
+    "GridResult": ".runner",
+    "RunManifest": ".runner",
+    "run_batch": ".runner",
+    "run_grid": ".runner",
+    "PATTERNS": ".spec",
+    "POLICIES": ".spec",
+    "WORKLOAD_BUILDERS": ".spec",
+    "RunResult": ".spec",
+    "RunSpec": ".spec",
+    "build_flows": ".spec",
+    "execute_spec": ".spec",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BatchResult",

@@ -25,6 +25,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro import __version__
 from repro.network.config import SimulationConfig
 from repro.network.engine import ColumnSimulator
 from repro.network.golden import GoldenColumnSimulator
@@ -639,8 +640,6 @@ def record_runtime_bench(
     result: RuntimeBenchResult, path: str | os.PathLike
 ) -> None:
     """Merge the executor comparison into the runtime baseline file."""
-    import repro
-
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -652,7 +651,7 @@ def record_runtime_bench(
     floors.setdefault("single_core_allowance", SINGLE_CORE_ALLOWANCE)
     data.setdefault("_meta", {})
     data["_meta"]["cpu_count"] = os.cpu_count()
-    data["_meta"]["engine_version"] = repro.__version__
+    data["_meta"]["engine_version"] = __version__
     data["runtime_pool"] = {
         "jobs": result.jobs,
         "batches": result.batches,
@@ -990,8 +989,6 @@ def bench_history_entry(
     per-key ratio check, and carries the guard's violations verbatim —
     a history entry recorded against a failing baseline says so.
     """
-    import repro
-
     violations, engine_data = validate_engine_baseline(engine_path)
     speedups: dict[str, float] = {}
     for name, entry in sorted(engine_data.items()):
@@ -1016,7 +1013,7 @@ def bench_history_entry(
         if "speedup_off" in journal:
             speedups["journal:speedup_off"] = journal["speedup_off"]
     return {
-        "engine_version": repro.__version__,
+        "engine_version": __version__,
         "recorded_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
@@ -1119,8 +1116,6 @@ def record_engine_baseline(
     results: list[EngineResult], path: str | os.PathLike
 ) -> None:
     """Merge results into the JSON baseline (keyed by point name)."""
-    import repro
-
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -1128,7 +1123,7 @@ def record_engine_baseline(
         data = {}
     data.setdefault("_meta", {})
     data["_meta"]["cpu_count"] = os.cpu_count()
-    data["_meta"]["engine_version"] = repro.__version__
+    data["_meta"]["engine_version"] = __version__
     for result in results:
         data[result.point.name] = {
             "regime": result.point.regime,

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import __version__
 from repro.runtime.spec import RunResult, RunSpec
 
 #: Environment override for the cache root.
@@ -38,15 +39,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-def _package_version() -> str:
-    # Lazy import: repro/__init__ imports the runtime package, so a
-    # module-level ``from repro import __version__`` here would be
-    # circular.  By call time the package is fully initialised.
-    import repro
-
-    return repro.__version__
 
 
 def payload_sha256(result_json: dict) -> str:
@@ -96,7 +88,7 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike | None = None, *,
                  version: str | None = None) -> None:
         self.root = Path(root).expanduser() if root else default_cache_dir()
-        self.version = version or _package_version()
+        self.version = version or __version__
         self.hits = 0
         self.misses = 0
         self.writes = 0

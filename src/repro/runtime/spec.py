@@ -27,6 +27,13 @@ from functools import cached_property
 
 from repro.errors import ConfigurationError, UnknownPolicyError
 from repro.network.config import SimulationConfig
+from repro.network.engine import ColumnSimulator
+from repro.qos.registry import (
+    available_policies,
+    get_policy,
+    policy_entries,
+    policy_name_of,
+)
 from repro.topologies.registry import EXTENDED_TOPOLOGY_NAMES, get_topology
 from repro.traffic import patterns as _patterns
 from repro.traffic import workloads as _workloads
@@ -240,24 +247,16 @@ class _PolicyFactories(Mapping):
     keeps working while the policy registry stays the single source of
     truth.  Lookups of unregistered names raise
     :class:`~repro.errors.UnknownPolicyError` (also a ``KeyError``, so
-    mapping semantics hold).  Imports lazily: the qos package imports
-    nothing from runtime, and keeping the indirection inside the
-    methods avoids ordering surprises if it ever does.
+    mapping semantics hold).
     """
 
     def __getitem__(self, name: str):
-        from repro.qos.registry import get_policy
-
         return get_policy(name).factory
 
     def __iter__(self):
-        from repro.qos.registry import available_policies
-
         return iter(available_policies())
 
     def __len__(self) -> int:
-        from repro.qos.registry import available_policies
-
         return len(available_policies())
 
 
@@ -270,21 +269,15 @@ class _PolicyNamesByClass(Mapping):
     """
 
     def __getitem__(self, factory):
-        from repro.qos.registry import policy_name_of
-
         name = policy_name_of(factory)
         if name is None:
             raise KeyError(factory)
         return name
 
     def __iter__(self):
-        from repro.qos.registry import policy_entries
-
         return (entry.factory for entry in policy_entries())
 
     def __len__(self) -> int:
-        from repro.qos.registry import policy_entries
-
         return len(policy_entries())
 
 
@@ -584,8 +577,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     named by the spec's :attr:`~RunSpec.base_hash` — the result itself
     is bit-identical either way (probes are observational).
     """
-    from repro.network.engine import ColumnSimulator
-
     config = spec.config
     topology = get_topology(spec.topology, **dict(spec.topology_params))
     simulator = ColumnSimulator(

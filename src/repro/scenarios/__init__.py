@@ -18,33 +18,32 @@ Three families beyond the paper's open-loop Bernoulli workloads:
 See ``docs/scenarios.md`` for the contracts and the file format.
 """
 
-from repro.scenarios.injection import (
-    BernoulliProcess,
-    InjectionProcess,
-    OnOffProcess,
-    ParetoBurstProcess,
-    Phase,
-    PhasedProcess,
-)
-from repro.scenarios.tracefmt import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    ScenarioTrace,
-    TraceFlow,
-    capture_to_trace,
-    file_sha256,
-    read_trace,
-    snapshot_digest,
-    write_trace,
-)
-from repro.scenarios.workloads import (
-    bursty_workload,
-    closed_loop_workload,
-    pareto_workload,
-    parse_phases,
-    phased_workload,
-    replayed_workload,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BernoulliProcess": ".injection",
+    "InjectionProcess": ".injection",
+    "OnOffProcess": ".injection",
+    "ParetoBurstProcess": ".injection",
+    "Phase": ".injection",
+    "PhasedProcess": ".injection",
+    "TRACE_FORMAT": ".tracefmt",
+    "TRACE_VERSION": ".tracefmt",
+    "ScenarioTrace": ".tracefmt",
+    "TraceFlow": ".tracefmt",
+    "capture_to_trace": ".tracefmt",
+    "file_sha256": ".tracefmt",
+    "read_trace": ".tracefmt",
+    "snapshot_digest": ".tracefmt",
+    "write_trace": ".tracefmt",
+    "bursty_workload": ".workloads",
+    "closed_loop_workload": ".workloads",
+    "pareto_workload": ".workloads",
+    "parse_phases": ".workloads",
+    "phased_workload": ".workloads",
+    "replayed_workload": ".workloads",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BernoulliProcess",

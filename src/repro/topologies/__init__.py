@@ -15,16 +15,20 @@ dps       Destination Partitioned Subnets — a dedicated          4x
 ========  =====================================================  ==========
 """
 
-from repro.topologies.base import COLUMN_NODES, ColumnTopology
-from repro.topologies.dps import DpsTopology
-from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
-from repro.topologies.mecs import MecsTopology
-from repro.topologies.mesh import MeshTopology
-from repro.topologies.registry import (
-    EXTENDED_TOPOLOGY_NAMES,
-    TOPOLOGY_NAMES,
-    get_topology,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "COLUMN_NODES": ".base",
+    "ColumnTopology": ".base",
+    "DpsTopology": ".dps",
+    "FlattenedButterflyTopology": ".flattened_butterfly",
+    "MecsTopology": ".mecs",
+    "MeshTopology": ".mesh",
+    "EXTENDED_TOPOLOGY_NAMES": ".registry",
+    "TOPOLOGY_NAMES": ".registry",
+    "get_topology": ".registry",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "COLUMN_NODES",

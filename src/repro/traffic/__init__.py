@@ -6,23 +6,24 @@ two crafted adversarial workloads that defeat PVC's preemption throttles
 (Section 5.3).
 """
 
-from repro.traffic.patterns import (
-    bit_reversal,
-    hotspot,
-    nearest_neighbor,
-    tornado,
-    uniform_random,
-)
-from repro.traffic.workloads import (
-    WORKLOAD1_RATES,
-    WORKLOAD2_EXTRA_RATE,
-    full_column_workload,
-    hotspot_all_injectors,
-    tornado_workload,
-    uniform_workload,
-    workload1,
-    workload2,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "bit_reversal": ".patterns",
+    "hotspot": ".patterns",
+    "nearest_neighbor": ".patterns",
+    "tornado": ".patterns",
+    "uniform_random": ".patterns",
+    "WORKLOAD1_RATES": ".workloads",
+    "WORKLOAD2_EXTRA_RATE": ".workloads",
+    "full_column_workload": ".workloads",
+    "hotspot_all_injectors": ".workloads",
+    "tornado_workload": ".workloads",
+    "uniform_workload": ".workloads",
+    "workload1": ".workloads",
+    "workload2": ".workloads",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "WORKLOAD1_RATES",

@@ -1,8 +1,15 @@
 """Small shared helpers: deterministic RNG, stats, and ASCII tables."""
 
-from repro.util.rng import DeterministicRng
-from repro.util.stats import RunningStats, mean, population_std
-from repro.util.tables import format_table
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "DeterministicRng": ".rng",
+    "RunningStats": ".stats",
+    "mean": ".stats",
+    "population_std": ".stats",
+    "format_table": ".tables",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DeterministicRng",

@@ -1,15 +1,31 @@
 """Public API surface: imports, __all__, and the README quickstart."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+#: The root package and every subpackage, each with its own ``__all__``.
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+)
 
 
 def test_version():
     assert repro.__version__ == "1.10.0"
 
 
-def test_all_names_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+@pytest.mark.parametrize("package", PACKAGES)
+def test_all_names_resolve(package):
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        assert hasattr(module, name), name
+        assert name in listed, name
 
 
 def test_quickstart_snippet_runs():

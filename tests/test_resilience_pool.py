@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ExecutionFailed
 from repro.network.config import SimulationConfig
 from repro.resilience import Fault, FaultPlan, RetryPolicy
+from repro.resilience import pool as pool_module
 from repro.resilience.pool import SupervisedWorkerPool
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.spec import RunSpec
@@ -95,6 +96,47 @@ def test_repeated_deaths_degrade_to_in_process_and_still_finish():
     assert outcome.degraded
     assert outcome.worker_deaths == 2
     assert outcome.results == serial  # in-process path skips kill faults
+
+
+def test_deaths_reported_together_stop_counting_once_degraded(monkeypatch):
+    # The first poll reports only the first worker's death, so its task
+    # is retried on a fresh worker that dies again.  Every later poll
+    # waits until all busy workers are dead and reports them together:
+    # the pool must stop counting at the limit and reclaim the rest.
+    real_wait = pool_module._connection_wait
+    polls = []
+
+    def wait(conns, timeout=None):
+        polls.append(len(conns))
+        if len(polls) == 1:
+            return real_wait(conns[:1])
+        for conn in conns:
+            real_wait([conn])
+        return list(conns)
+
+    monkeypatch.setattr(pool_module, "_connection_wait", wait)
+    specs = _specs()
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(
+        name="storm",
+        faults=(Fault(kind="worker_kill", at=0, attempts=10),
+                Fault(kind="worker_kill", at=1, attempts=10)),
+    )
+    pool = SupervisedWorkerPool(
+        2,
+        retry=RetryPolicy(max_attempts=10, backoff_base=0.0, jitter=0.0),
+        fault_plan=plan,
+        max_worker_deaths=2,
+    )
+    try:
+        outcome = pool.execute(specs)
+    finally:
+        pool.shutdown(force=True)
+    assert polls == [2, 2]
+    assert outcome.degraded
+    assert outcome.worker_deaths == 2
+    assert pool.active_workers == 0
+    assert [outcome.results[spec.content_hash] for spec in specs] == serial
 
 
 def test_keyboard_interrupt_force_closes_the_pool():
