@@ -64,6 +64,14 @@ and refunds force a lazy per-node rebuild); blocked ports cache their
 "nothing can advance" verdict with its exact dependency set; busy
 ports skip their scans until serialisation ends.
 
+At that point the cost is Python calls, not the algorithm, so all three
+run methods share one loop, ``_run_to``: loop-invariant state lives in
+locals, due ports are collected and the ranked arbitration pass runs
+inline, ``_inject`` is called only when an emission is due, an injector
+is armed or a script is loaded, and routes are memoised per (injection
+station, destination, replica).  ``visited_cycles`` counts the cycles
+the loop visited; every other cycle it advanced was skipped.
+
 ``run_until_drained`` tracks an aggregate count of undrained injectors
 (maintained at ACK/creation transitions) instead of scanning every
 injector every cycle.
@@ -287,6 +295,12 @@ class ColumnSimulator:
         self._occupied_vcs = 0
         self._undrained = 0
         self._hold = False
+        #: Loop iterations of the run methods: cycles actually visited
+        #: (every other cycle advanced was skipped; see `_run_to`).
+        self.visited_cycles = 0
+        #: Route memo of `_route`: (injection station, destination,
+        #: replica) -> the builder's (stations, segments).
+        self._routes: dict[tuple[int, int, int], tuple] = {}
         #: Reusable scratch buffers for the arbitration slow path (the
         #: full ranked candidate list and the per-pass downstream
         #: station memo); arbitration is not reentrant.
@@ -295,7 +309,7 @@ class ColumnSimulator:
         self._ns_memo2: dict[int, VirtualChannel | None] = {}
 
         n_nodes = 1 + max(station.node for station in fabric.stations)
-        # Blocked-verdict cache backing state (see `_arbitrate_port`):
+        # Blocked-verdict cache backing state (see `_run_to`):
         # `_station_gen[s]` advances whenever the VC occupancy of
         # station ``s`` changes (placement, transfer arrival, tail
         # free, preemption); per-(router, flow) priority/compliance
@@ -306,8 +320,8 @@ class ColumnSimulator:
         self._station_gen = [0] * len(fabric.stations)
         self._bp_cache: list[tuple | None] = [None] * len(fabric.ports)
         self._victim_scan: list[tuple[int, int]] = []
-        # Persistent per-port candidate rankings (see
-        # `_arbitrate_port`): `_rank[p]` is the sorted candidate list,
+        # Persistent per-port candidate rankings (see `_run_to`):
+        # `_rank[p]` is the sorted candidate list,
         # `_pending[p]` a min-heap of not-yet-eligible requests, and
         # the epoch/refund stamps mark when a rank must be rebuilt
         # because priorities may have improved.
@@ -317,7 +331,9 @@ class ColumnSimulator:
         self._rank_epoch = [0] * n_ports
         self._rank_refund = [0] * n_ports
         self._refund_gen = [0] * n_nodes
-        self._salvage: list = []
+        #: Reusable buffer of the (epoch, vc) requests a ranked pass
+        #: admits into its ranking.
+        self._admit: list = []
         self._pend_seq = 0
         #: Whether any station lacks flow state (DPS intermediate
         #: hops).  Only then are source-stamped carried priorities ever
@@ -443,104 +459,471 @@ class ColumnSimulator:
         """Advance the simulation; measure after ``warmup`` cycles."""
         if warmup:
             self.stats.set_window(self.cycle + warmup)
-        end = self.cycle + cycles
-        while self.cycle < end:
-            self._step(end)
+        self._run_to(self.cycle + cycles, False)
         return self.stats
 
     def run_window(self, warmup: int, window: int) -> NetworkStats:
         """Warm up, then measure exactly ``window`` cycles (Table 2)."""
         self.stats.set_window(self.cycle + warmup, self.cycle + warmup + window)
-        end = self.cycle + warmup + window
-        while self.cycle < end:
-            self._step(end)
+        self._run_to(self.cycle + warmup + window, False)
         return self.stats
 
     def run_until_drained(self, max_cycles: int) -> int:
         """Run until every finite injector is idle; return the cycle.
 
         Used by Figure 6's slowdown measurement: the workload is a fixed
-        packet budget per source and the metric is completion time.
+        packet budget per source and the metric is completion time.  A
+        workload that drains exactly at the budget still counts.
         """
-        deadline = self.cycle + max_cycles
-        while self.cycle < deadline:
-            if self._undrained == 0:
-                return self.cycle
-            self._step(deadline, stop_on_drain=True)
+        if self._run_to(self.cycle + max_cycles, True):
+            return self.cycle
         raise SimulationError(
             f"workload did not drain within {max_cycles} cycles "
             f"(outstanding={[i.outstanding for i in self._injectors]})"
         )
 
     # ------------------------------------------------------------------
-    # cycle phases
+    # the cycle loop
 
-    def _step(self, limit: int, *, stop_on_drain: bool = False) -> None:
-        now = self.cycle
-        frame = self.config.frame_cycles
-        if now > 0 and now % frame == 0:
-            self.policy.on_frame(now)
-            if self._probes is not None:
-                self._probes.frame(now)
-            # A frame flush clears every bandwidth counter, so priority
-            # stamps carried by in-flight packets (used at stations with
-            # no flow state, e.g. DPS intermediate hops) must be cleared
-            # too — otherwise pre-flush stamps look spuriously worse
-            # than post-flush traffic and trigger preemption storms.
-            # The occupancy counter bounds the scan to frames with
-            # packets actually resident somewhere in the fabric, and a
-            # fabric whose stations all hold flow state never reads the
-            # stamps at all.
-            if self._has_nonqos and self._occupied_vcs:
-                for station in self.fabric.stations:
-                    for vc in station.vcs:
-                        if vc.packet is not None:
-                            vc.packet.carried_priority = 0.0
+    def _run_to(self, limit: int, stop_on_drain: bool) -> bool:
+        """Simulate up to cycle ``limit``; return whether the run drained.
+
+        The one loop behind every run method; with ``stop_on_drain`` it
+        stops at the first cycle at which every finite injector is idle.
+        Each visited cycle runs the phases of the module docstring, then
+        jumps to the next cycle at which anything can happen.
+
+        An arbitration pass yields the port's *horizon*: a lower bound on
+        the next cycle at which its state can change without an
+        intervening event or wake-up — ``now + 1`` when a ready candidate
+        is blocked (patience and rate compliance are re-evaluated every
+        cycle), otherwise the earliest of the port and crossbar-line
+        serialisation bounds and the requests' ``ready_at`` times.
+
+        Policies whose priority is pure (router, flow) flow-table state
+        (PVC, the per-flow baseline) take the ranked pass, inline: each
+        port keeps a persistent sorted ranking (``port.requests`` is an
+        inbox drained into it), exact because charges only worsen a
+        priority within a frame; the events that can improve one (frame
+        flush, refund, weight change) force a per-node rebuild.  A pass
+        that finds ready candidates but none able to advance caches that
+        verdict with its exact dependencies.  The no-QoS policy hashes
+        the cycle into its priorities, so it takes the
+        `_arbitrate_port_scan` call instead.
+        """
+        config = self.config
+        frame = config.frame_cycles
+        patience = config.preemption_patience_cycles
+        reserved_vc = config.reserved_vc
+        may_preempt = config.preemption_enabled and self._caps.preemption
+        comp_cached = self._caps.compliance_cached
+        stamp_carried = self._has_nonqos
+        policy = self.policy
+        policy_priority = policy.priority
+        is_rate_compliant = policy.is_rate_compliant
+        probes = self._probes
+        stations = self.fabric.stations
+        ports = self.fabric.ports
+        transfer = self._transfer
+        timeline = self._timeline
         event_heap = self._event_heap
-        while event_heap and event_heap[0] <= now:
-            heappop(event_heap)
-        events = self._timeline.pop(now, None)
-        if events:
-            self._process_events(events, now)
-        self._hold = False
-        self._inject(now)
-        self._arbitrate(now)
-        # Cycle skipping: jump to the earliest cycle at which anything
-        # can happen — a port wake-up, a timeline event, a scheduled
-        # emission, the next frame boundary, or the caller's run bound.
-        # `_hold` (set by a preemption, which frees a VC after the
-        # injection phase) and a completed drain (the caller must
-        # observe the exact completion cycle) pin the clock to
-        # single-step.
-        advance = now + 1
-        if (
-            not self._hold
-            and not self._hot_ports
-            and not (stop_on_drain and self._undrained == 0)
-        ):
-            target = now - now % frame + frame
-            port_heap = self._port_heap
-            if port_heap and port_heap[0][0] < target:
-                target = port_heap[0][0]
-            if event_heap and event_heap[0] < target:
-                target = event_heap[0]
-            emit_heap = self._emit_heap
-            if emit_heap and emit_heap[0][0] < target:
-                target = emit_heap[0][0]
-            script = self._script
+        emit_heap = self._emit_heap
+        port_heap = self._port_heap
+        port_due = self._port_due
+        hot = self._hot_ports
+        script = self._script
+        table = self._prio_table
+        if table is not None:
+            prio_values = table.prio_values
+            prio_stamps = table.prio_stamps
+            versions = table.versions
+            comp_thresholds = table.comp_thresholds
+            comp_sizes = table.comp_sizes
+            comp_stamps = table.comp_stamps
+        bp_cache = self._bp_cache
+        station_gen = self._station_gen
+        refund_gens = self._refund_gen
+        memo = self._ns_memo
+        memo2 = self._ns_memo2
+        admit = self._admit
+        seq = self._pend_seq
+        now = self.cycle
+        # The first frame boundary not yet flushed (cycle 0 is none).
+        next_frame = max(frame, -(-now // frame) * frame)
+        visited = 0
+        while now < limit:
+            if stop_on_drain and self._undrained == 0:
+                break
+            visited += 1
+            if now == next_frame:
+                next_frame += frame
+                policy.on_frame(now)
+                if probes is not None:
+                    probes.frame(now)
+                # A frame flush clears every bandwidth counter, so
+                # priority stamps carried by in-flight packets (read at
+                # stations with no flow state, e.g. DPS intermediate
+                # hops) must be cleared too — otherwise pre-flush stamps
+                # look spuriously worse than post-flush traffic and
+                # trigger preemption storms.  The occupancy counter
+                # bounds the scan to frames with packets resident
+                # somewhere, and a fabric whose stations all hold flow
+                # state never reads the stamps at all.
+                if stamp_carried and self._occupied_vcs:
+                    for station in stations:
+                        for vc in station.vcs:
+                            if vc.packet is not None:
+                                vc.packet.carried_priority = 0.0
+            if event_heap and event_heap[0] <= now:
+                while event_heap and event_heap[0] <= now:
+                    heappop(event_heap)
+                events = timeline.pop(now, None)
+                if events:
+                    self._process_events(events, now)
+            self._hold = False
             if (
                 script is not None
-                and self._script_idx < len(script)
-                and script[self._script_idx][0] < target
+                or self._armed
+                or (emit_heap and emit_heap[0][0] == now)
             ):
-                target = script[self._script_idx][0]
-            if limit < target:
-                target = limit
-            if target > advance:
-                if self._probes is not None:
-                    self._probes.skip(now, target)
-                advance = target
-        self.cycle = advance
+                self._inject(now)
+
+            # Arbitration: every due port, in port-index order (the
+            # order is architecturally significant and matches the
+            # reference engine's flat scan).  A heap entry is live only
+            # while it matches the port's recorded due time; anything
+            # else was superseded by an earlier wake.
+            due = []
+            if hot:
+                for index in hot:
+                    if port_due[index] == now:
+                        port_due[index] = _FAR
+                        due.append(index)
+                del hot[:]
+            while port_heap and port_heap[0][0] <= now:
+                when, index = heappop(port_heap)
+                if when == port_due[index]:
+                    port_due[index] = _FAR
+                    due.append(index)
+            nxt = now + 1
+            if len(due) > 1:
+                due.sort()
+            for index in due:
+                port = ports[index]
+                # A cached "blocked" verdict (ranked path only) whose
+                # dependencies are all unchanged ends the pass in a few
+                # dozen integer compares.
+                cached = bp_cache[index]
+                if cached is not None:
+                    ok = (
+                        not port.requests
+                        and now < cached[0]
+                        and table.epoch == cached[1]
+                        and refund_gens[port.node] == cached[2]
+                    )
+                    if ok:
+                        for idx, version in cached[4]:
+                            if versions[idx] != version:
+                                ok = False
+                                break
+                    if ok:
+                        for st, s_gen in cached[5]:
+                            if station_gen[st.index] != s_gen or st.tx_busy_until > now:
+                                ok = False
+                                break
+                    if ok:
+                        for s_index, s_gen in cached[6]:
+                            if station_gen[s_index] != s_gen:
+                                ok = False
+                                break
+                    if ok:
+                        if probes is not None:
+                            probes.arb_block(now, index, cached[3])
+                        port_due[index] = nxt
+                        hot.append(index)
+                        continue
+                    bp_cache[index] = None
+                horizon = port.busy_until
+                if horizon > now:
+                    pass  # serialising: nothing can be granted until busy-end
+                elif table is None:
+                    horizon = self._arbitrate_port_scan(port, now)
+                else:
+                    # The ranked pass (cacheable priorities; see
+                    # docs/performance.md).
+                    rank = self._rank[index]
+                    pending = self._pending[index]
+                    epoch_t = table.epoch
+                    refund_gen = refund_gens[port.node]
+                    # One admission loop for the three sources of requests:
+                    # a full rebuild (priorities may have *improved* — a
+                    # frame flush zeroed the counters or a preemption
+                    # refunded this node — so the stored order is no longer
+                    # monotonically repairable), the port's inbox, and
+                    # parked requests that became eligible.
+                    if (
+                        self._rank_epoch[index] != epoch_t
+                        or self._rank_refund[index] != refund_gen
+                    ):
+                        self._rank_epoch[index] = epoch_t
+                        self._rank_refund[index] = refund_gen
+                        if rank or pending:
+                            admit.extend([(entry[5], entry[7]) for entry in rank])
+                            admit.extend([(item[2], item[3]) for item in pending])
+                            del rank[:]
+                            del pending[:]
+                    requests = port.requests
+                    if requests:
+                        admit.extend(requests)
+                        del requests[:]
+                    while pending and pending[0][0] <= now:
+                        item = heappop(pending)
+                        admit.append((item[2], item[3]))
+                    if admit:
+                        for epoch, vc in admit:
+                            packet = vc.packet
+                            if vc.epoch != epoch or packet is None or vc.departing:
+                                continue
+                            seq += 1
+                            ready_at = vc.ready_at
+                            station = vc.station
+                            if ready_at > now:
+                                # Not ready: park it by its earliest
+                                # eligibility.  Line-busy entries are ranked
+                                # anyway and skipped until the line frees.
+                                line_free = station.tx_busy_until
+                                if line_free > ready_at:
+                                    ready_at = line_free
+                                heappush(pending, (ready_at, seq, epoch, vc))
+                                continue
+                            idx = vc.prio_idx
+                            if not station.qos:
+                                priority = packet.carried_priority
+                            elif prio_stamps[idx] == epoch_t:
+                                priority = prio_values[idx]
+                            else:
+                                priority = policy_priority(station, packet, now)
+                            entry = (priority, packet.created_at, packet.pid, idx,
+                                     versions[idx], epoch, seq, vc)
+                            if rank:
+                                insort(rank, entry)
+                            else:
+                                rank.append(entry)
+                        del admit[:]
+                    wait_until = pending[0][0] if pending else _FAR
+                    if memo:
+                        memo.clear()
+                    if memo2:
+                        memo2.clear()
+                    comp_gate = _FAR
+                    best_vc = None
+                    best_ready_at = 0
+                    preempt_scanned = False
+                    k = 0
+                    while k < len(rank):
+                        entry = rank[k]
+                        vc = entry[7]
+                        packet = vc.packet
+                        if vc.epoch != entry[5] or packet is None or vc.departing:
+                            del rank[k]
+                            continue
+                        idx = entry[3]
+                        if versions[idx] != entry[4]:
+                            # The (router, flow) state moved under this
+                            # entry: its true priority is no better than the
+                            # stored one, so repositioning it before it is
+                            # considered keeps the order exact wherever the
+                            # order is read.
+                            del rank[k]
+                            station = vc.station
+                            if not station.qos:
+                                priority = packet.carried_priority
+                            elif prio_stamps[idx] == epoch_t:
+                                priority = prio_values[idx]
+                            else:
+                                priority = policy_priority(station, packet, now)
+                            seq += 1
+                            insort(
+                                rank,
+                                (priority, entry[1], entry[2], idx, versions[idx],
+                                 entry[5], seq, vc),
+                            )
+                            continue
+                        line_free = vc.station.tx_busy_until
+                        k += 1
+                        if line_free > now:
+                            if line_free < wait_until:
+                                wait_until = line_free
+                            continue
+                        # Eligible, and — by construction — in exact rank order.
+                        priority = entry[0]
+                        segment = packet.segments[packet.hop_index]
+                        nsi = segment[3]
+                        is_best = best_vc is None
+                        if is_best:
+                            best_vc = vc
+                            best_ready_at = vc.ready_at
+                        target = None
+                        if nsi >= 0:
+                            next_station = stations[nsi]
+                            if nsi in memo:
+                                ff = memo[nsi]
+                            elif next_station.allow_overflow:
+                                ff = memo[nsi] = next_station.free_vc(allow_reserved=True)
+                            else:
+                                for ff in next_station.vcs:
+                                    if ff.packet is None:
+                                        break
+                                else:
+                                    ff = None
+                                memo[nsi] = ff
+                            if ff is None:
+                                pass
+                            elif not (reserved_vc and ff.reserved):
+                                target = ff
+                            # The reserved VC is first free: rate
+                            # compliance (the cached boundary while it
+                            # is valid) decides whether it may be taken.
+                            elif (
+                                now >= comp_thresholds[idx]
+                                if comp_cached
+                                and comp_stamps[idx] == epoch_t
+                                and comp_sizes[idx] == packet.size
+                                else is_rate_compliant(vc.station, packet, now)
+                            ):
+                                target = ff
+                            else:
+                                if nsi in memo2:
+                                    target = memo2[nsi]
+                                elif next_station.allow_overflow:
+                                    target = memo2[nsi] = next_station.free_vc(
+                                        allow_reserved=False
+                                    )
+                                else:
+                                    for target in next_station.vcs:
+                                        if target.packet is None and not target.reserved:
+                                            break
+                                    else:
+                                        target = None
+                                    memo2[nsi] = target
+                                if target is None:
+                                    # The compliance check left a fresh boundary.
+                                    gate = comp_thresholds[idx]
+                                    if gate < comp_gate:
+                                        comp_gate = gate
+                            if (
+                                target is None
+                                and is_best
+                                and may_preempt
+                                and now - vc.ready_at >= patience
+                            ):
+                                preempt_scanned = True
+                                target = self._try_preempt(next_station, priority, now)
+                            if target is None:
+                                continue
+                        if stamp_carried:
+                            packet.carried_priority = priority
+                        del rank[k - 1]
+                        transfer(vc, packet, port, segment, target, now)
+                        # With the winner removed, an empty ranking and
+                        # pending heap mean no follow-on work: the port need
+                        # not wake at busy-end (new requests wake it).
+                        if rank:
+                            horizon = port.busy_until
+                        elif pending:
+                            horizon = port.busy_until
+                            if pending[0][0] > horizon:
+                                horizon = pending[0][0]
+                        else:
+                            horizon = _FAR
+                        break
+                    else:
+                        if best_vc is None:
+                            horizon = port.busy_until
+                            if wait_until > horizon:
+                                horizon = wait_until
+                        else:
+                            # Ready candidates exist but none can advance:
+                            # patience and compliance windows may change the
+                            # outcome next cycle, so the port is revisited
+                            # every cycle — with this verdict cached against
+                            # its exact dependencies.  The scan above ran
+                            # the whole ranking, so its surviving entries
+                            # are the exact candidate dependencies.
+                            deps = []
+                            cand_stations = []
+                            for entry in rank:
+                                st = entry[7].station
+                                if st.tx_busy_until > now:
+                                    continue
+                                deps.append((entry[3], entry[4]))
+                                if st not in cand_stations:
+                                    cand_stations.append(st)
+                            n_candidates = len(deps)
+                            if preempt_scanned:
+                                deps.extend(self._victim_scan)
+                            time_gate = wait_until
+                            if may_preempt:
+                                patience_cross = best_ready_at + patience
+                                if now < patience_cross < time_gate:
+                                    time_gate = patience_cross
+                            if comp_gate < time_gate:
+                                time_gate = comp_gate
+                            bp_cache[index] = (
+                                time_gate,
+                                epoch_t,
+                                refund_gen,
+                                n_candidates,
+                                tuple(deps),
+                                tuple((st, station_gen[st.index]) for st in cand_stations),
+                                tuple((s, station_gen[s]) for s in memo),
+                            )
+                            if probes is not None:
+                                probes.arb_block(now, index, n_candidates)
+                            horizon = nxt
+                if horizon == nxt:
+                    port_due[index] = nxt
+                    hot.append(index)
+                elif horizon < port_due[index]:
+                    port_due[index] = horizon
+                    heappush(port_heap, (horizon, index))
+
+            # Cycle skipping: jump to the earliest cycle at which anything
+            # can happen — a port wake-up, a timeline event, a scheduled
+            # emission, the next frame boundary, or the run bound.
+            # `_hold` (set by a preemption, which frees a VC after the
+            # injection phase) and a completed drain (the caller must
+            # observe the exact completion cycle) pin the clock to
+            # single-step.
+            advance = nxt
+            if (
+                not self._hold
+                and not hot
+                and not (stop_on_drain and self._undrained == 0)
+            ):
+                target = next_frame
+                if port_heap and port_heap[0][0] < target:
+                    target = port_heap[0][0]
+                if event_heap and event_heap[0] < target:
+                    target = event_heap[0]
+                if emit_heap and emit_heap[0][0] < target:
+                    target = emit_heap[0][0]
+                if (
+                    script is not None
+                    and self._script_idx < len(script)
+                    and script[self._script_idx][0] < target
+                ):
+                    target = script[self._script_idx][0]
+                if limit < target:
+                    target = limit
+                if target > advance:
+                    if probes is not None:
+                        probes.skip(now, target)
+                    advance = target
+            self.cycle = now = advance
+        self._pend_seq = seq
+        self.visited_cycles += visited
+        return self._undrained == 0
 
     def _schedule(self, when: int, event: tuple) -> None:
         bucket = self._timeline.get(when)
@@ -556,7 +939,10 @@ class ColumnSimulator:
             if kind == _EV_FREE:
                 _, vc, pid = event
                 if vc.packet is not None and vc.packet.pid == pid and vc.departing:
-                    vc.clear()
+                    vc.packet = None
+                    vc.arriving_until = -1
+                    vc.inbound_port = None
+                    vc.departing = False
                     self._station_gen[vc.station.index] += 1
                     self._occupied_vcs -= 1
                     owner = vc.owner
@@ -795,7 +1181,10 @@ class ColumnSimulator:
                 if is_new:
                     injector.outstanding += 1
                     stats.injected_packets += 1
-                self._build_route(injector, packet)
+                packet.stations, packet.segments = self._route(
+                    injector, packet.dst, injector.replica_rr
+                )
+                injector.replica_rr += 1
                 self._place(vc, packet, now + station.va_wait)
                 if trace is not None:
                     trace.record(
@@ -925,15 +1314,27 @@ class ColumnSimulator:
         else:
             self._schedule(now + think, (_EV_REQ, flow_id))
 
-    def _build_route(self, injector: _Injector, packet: Packet) -> None:
-        request = RouteRequest(
-            src_node=packet.src,
-            dst_node=packet.dst,
-            injection_station=injector.station.index,
-            replica_hint=injector.replica_rr,
-        )
-        injector.replica_rr += 1
-        packet.stations, packet.segments = self.fabric.route_builder(request)
+    def _route(self, injector: _Injector, dst: int, hint: int) -> tuple:
+        """``(stations, segments)`` of a packet from ``injector`` to ``dst``.
+
+        Route builders are pure functions of the injection station, the
+        destination and ``hint % replica_count`` (the
+        :attr:`~repro.network.fabric.FabricBuild.route_builder`
+        contract), so each distinct route is built once per simulator.
+        """
+        station = injector.station.index
+        key = (station, dst, hint % self.fabric.replica_count)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self.fabric.route_builder(
+                RouteRequest(
+                    src_node=injector.spec.node,
+                    dst_node=dst,
+                    injection_station=station,
+                    replica_hint=hint,
+                )
+            )
+        return route
 
     def _place(self, vc: VirtualChannel, packet: Packet, ready_at: int) -> None:
         if self._release is not None:
@@ -943,403 +1344,23 @@ class ColumnSimulator:
         vc.arriving_until = -1
         vc.inbound_port = None
         vc.departing = False
-        vc.epoch += 1
+        epoch = vc.epoch + 1
+        vc.epoch = epoch
         vc.prio_idx = vc.station.node * self._n_flows + packet.flow_id
         self._station_gen[vc.station.index] += 1
         self._occupied_vcs += 1
-        port = self.fabric.ports[packet.current_segment()[0]]
-        port.requests.append((vc.epoch, vc))
-        self._wake_port(port.index, ready_at)
-
-    def _wake_port(self, index: int, when: int) -> None:
-        """Schedule an arbitration visit for a port no later than ``when``.
-
-        ``when`` is a conservative lower bound (a new request's
-        ``ready_at``, or the horizon the last arbitration pass
-        reported); an early visit is harmless — the pass recomputes the
-        true horizon from port state — but a late one would miss work,
-        so pushes only ever move a port's due time earlier.
-        """
+        index = packet.segments[packet.hop_index][0]
+        self.fabric.ports[index].requests.append((epoch, vc))
+        # Wake the port by the request's earliest eligibility.  Due
+        # times only ever move earlier: an early visit is harmless (the
+        # pass recomputes the true horizon), a late one would miss work.
         due = self._port_due
-        if when < due[index]:
-            due[index] = when
-            heappush(self._port_heap, (when, index))
+        if ready_at < due[index]:
+            due[index] = ready_at
+            heappush(self._port_heap, (ready_at, index))
 
     # ------------------------------------------------------------------
     # arbitration
-
-    def _arbitrate(self, now: int) -> None:
-        """Arbitrate every port due at ``now``, in port-index order."""
-        port_due = self._port_due
-        hot = self._hot_ports
-        due: list[int] = []
-        if hot:
-            for index in hot:
-                if port_due[index] == now:
-                    port_due[index] = _FAR
-                    due.append(index)
-            del hot[:]
-        heap = self._port_heap
-        while heap and heap[0][0] <= now:
-            when, index = heappop(heap)
-            # An entry is live only while it matches the recorded due
-            # time; anything else was superseded by an earlier wake.
-            if when == port_due[index]:
-                port_due[index] = _FAR
-                due.append(index)
-        if not due:
-            return
-        due.sort()
-        ports = self.fabric.ports
-        nxt = now + 1
-        for index in due:
-            horizon = self._arbitrate_port(ports[index], now)
-            if horizon == nxt:
-                port_due[index] = nxt
-                hot.append(index)
-            elif horizon < _FAR:
-                self._wake_port(index, horizon)
-
-    def _arbitrate_port(self, port: OutputPort, now: int) -> int:
-        """One arbitration pass; returns the port's next-activity horizon.
-
-        The horizon is a lower bound on the next cycle at which this
-        port's state can change without an intervening timeline event or
-        wake-up: ``now + 1`` when a ready candidate is blocked (patience
-        and rate-compliance must be re-evaluated every cycle), otherwise
-        the earliest of the port/crossbar-line serialisation bounds and
-        the requests' ``ready_at`` times.
-
-        Policies whose priority is pure (router, flow) flow-table state
-        (PVC, the per-flow baseline) run the incremental path: each
-        port keeps a **persistent sorted candidate ranking** maintained
-        across passes (`port.requests` degenerates to an inbox drained
-        into it), valid because charges only ever *worsen* a priority
-        within a frame — an entry whose (router, flow) state changed
-        (flow-table `versions`) is repositioned when encountered, and
-        the two events that can improve priorities (frame flush,
-        preemption refund) trigger a per-node lazy rebuild.  A pass
-        then validates the front of the ranking instead of re-scoring
-        every request, and the fall-through order for a blocked winner
-        is already in hand without a sort.
-
-        A pass that concludes "ready candidates exist but none can
-        advance" additionally caches that verdict with its exact
-        dependencies (candidate versions, station occupancy
-        generations and tx lines, downstream occupancy, failed
-        victim-scan reads, frame epoch, and the pure time crossings —
-        eligibility, preemption patience, compliance boundaries), so
-        the per-cycle revisit of a saturated blocked port is a few
-        dozen integer compares.
-
-        The no-QoS policy hashes the cycle into its priorities, so
-        nothing is cacheable across cycles: it takes the single-scan
-        path (`_arbitrate_port_scan`).
-        """
-        table = self._prio_table
-        if table is None:
-            return self._arbitrate_port_scan(port, now)
-        pidx = port.index
-        cached = self._bp_cache[pidx]
-        if cached is not None:
-            ok = (
-                not port.requests
-                and now < cached[0]
-                and table.epoch == cached[1]
-                and self._refund_gen[port.node] == cached[2]
-            )
-            if ok:
-                versions = table.versions
-                for idx, version in cached[3]:
-                    if versions[idx] != version:
-                        ok = False
-                        break
-            if ok:
-                station_gen = self._station_gen
-                for st, s_gen in cached[4]:
-                    if station_gen[st.index] != s_gen or st.tx_busy_until > now:
-                        ok = False
-                        break
-            if ok:
-                for s_index, s_gen in cached[5]:
-                    if station_gen[s_index] != s_gen:
-                        ok = False
-                        break
-            if ok:
-                for idx, version in cached[6]:
-                    if versions[idx] != version:
-                        ok = False
-                        break
-                if ok:
-                    if self._probes is not None:
-                        self._probes.arb_block(now, pidx, len(cached[3]))
-                    return now + 1
-            self._bp_cache[pidx] = None
-        busy = port.busy_until
-        if busy > now:
-            # Serialising: nothing can be granted until busy-end.  The
-            # inbox keeps accumulating; the wake-up pass drains it.
-            return busy
-        rank = self._rank[pidx]
-        pending = self._pending[pidx]
-        prio_values = table.prio_values
-        prio_stamps = table.prio_stamps
-        epoch_t = table.epoch
-        versions = table.versions
-        policy_priority = self.policy.priority
-        refund_gen = self._refund_gen[port.node]
-        if (
-            self._rank_epoch[pidx] != epoch_t
-            or self._rank_refund[pidx] != refund_gen
-        ):
-            # Priorities may have *improved* (frame flush zeroed the
-            # counters, or a preemption refunded this node): the stored
-            # order is no longer monotonically repairable — rebuild.
-            self._rank_epoch[pidx] = epoch_t
-            self._rank_refund[pidx] = refund_gen
-            if rank or pending:
-                salvage = self._salvage
-                del salvage[:]
-                for entry in rank:
-                    vc = entry[7]
-                    if (
-                        vc.epoch == entry[5]
-                        and vc.packet is not None
-                        and not vc.departing
-                    ):
-                        salvage.append((entry[5], vc))
-                for item in pending:
-                    vc = item[3]
-                    if (
-                        vc.epoch == item[2]
-                        and vc.packet is not None
-                        and not vc.departing
-                    ):
-                        salvage.append((item[2], vc))
-                del rank[:]
-                del pending[:]
-                for epoch, vc in salvage:
-                    self._rank_admit(rank, pending, epoch, vc, now)
-                del salvage[:]
-        requests = port.requests
-        if requests:
-            for epoch, vc in requests:
-                self._rank_admit(rank, pending, epoch, vc, now)
-            del requests[:]
-        while pending and pending[0][0] <= now:
-            item = heappop(pending)
-            self._rank_admit(rank, pending, item[2], item[3], now)
-        wait_until = pending[0][0] if pending else _FAR
-        config = self.config
-        reserved_vc = config.reserved_vc
-        stations = self.fabric.stations
-        comp_thresholds = table.comp_thresholds
-        comp_sizes = table.comp_sizes
-        comp_stamps = table.comp_stamps
-        comp_cached = self._caps.compliance_cached
-        stamp_carried = self._has_nonqos
-        memo = self._ns_memo
-        memo.clear()
-        memo2 = self._ns_memo2
-        memo2.clear()
-        comp_gate = _FAR
-        best_vc: VirtualChannel | None = None
-        best_ready_at = 0
-        preempt_scanned = False
-        k = 0
-        while k < len(rank):
-            entry = rank[k]
-            vc = entry[7]
-            if vc.epoch != entry[5]:
-                del rank[k]
-                continue
-            packet = vc.packet
-            if packet is None or vc.departing:
-                del rank[k]
-                continue
-            idx = entry[3]
-            if versions[idx] != entry[4]:
-                # The (router, flow) state moved under this entry: its
-                # true priority is no better than the stored one, so
-                # repositioning it before it is considered keeps the
-                # order exact at every point the order is read.
-                del rank[k]
-                station = vc.station
-                if station.qos:
-                    if prio_stamps[idx] == epoch_t:
-                        priority = prio_values[idx]
-                    else:
-                        priority = policy_priority(station, packet, now)
-                else:
-                    priority = packet.carried_priority
-                self._pend_seq += 1
-                insort(
-                    rank,
-                    (priority, entry[1], entry[2], idx, versions[idx],
-                     entry[5], self._pend_seq, vc),
-                )
-                continue
-            line_free = vc.station.tx_busy_until
-            if line_free > now:
-                if line_free < wait_until:
-                    wait_until = line_free
-                k += 1
-                continue
-            k += 1
-            # Eligible, and — by construction — in exact rank order.
-            priority = entry[0]
-            segment = packet.segments[packet.hop_index]
-            nsi = segment[3]
-            is_best = best_vc is None
-            if is_best:
-                best_vc = vc
-                best_ready_at = vc.ready_at
-            if nsi < 0:
-                if stamp_carried:
-                    packet.carried_priority = priority
-                del rank[k - 1]
-                self._transfer(vc, packet, port, segment, None, now)
-                return self._post_transfer_horizon(port, rank, pending)
-            next_station = stations[nsi]
-            if nsi in memo:
-                ff = memo[nsi]
-            else:
-                ff = next_station.free_vc(allow_reserved=True)
-                memo[nsi] = ff
-            if ff is None:
-                target = None
-            elif reserved_vc and ff.reserved:
-                if comp_cached and (
-                    comp_stamps[idx] == epoch_t
-                    and comp_sizes[idx] == packet.size
-                ):
-                    compliant = now >= comp_thresholds[idx]
-                else:
-                    compliant = self.policy.is_rate_compliant(
-                        vc.station, packet, now
-                    )
-                if compliant:
-                    target = ff
-                else:
-                    if nsi in memo2:
-                        target = memo2[nsi]
-                    else:
-                        target = next_station.free_vc(allow_reserved=False)
-                        memo2[nsi] = target
-                    if target is None:
-                        # The compliance check left a fresh boundary.
-                        gate = comp_thresholds[idx]
-                        if gate < comp_gate:
-                            comp_gate = gate
-            else:
-                target = ff
-            if target is None and is_best and (
-                now - vc.ready_at >= config.preemption_patience_cycles
-            ):
-                preempt_scanned = True
-                target = self._try_preempt(next_station, priority, now)
-            if target is not None:
-                if stamp_carried:
-                    packet.carried_priority = priority
-                del rank[k - 1]
-                self._transfer(vc, packet, port, segment, target, now)
-                return self._post_transfer_horizon(port, rank, pending)
-        if best_vc is None:
-            busy = port.busy_until
-            return busy if busy > wait_until else wait_until
-        # Ready candidates exist but none could advance: patience and
-        # compliance windows may change the outcome next cycle, so the
-        # port is revisited every cycle — with the verdict cached, each
-        # revisit costs a few dozen integer compares.  The iteration
-        # above ran the whole ranking, so its surviving entries are the
-        # exact candidate dependencies.
-        station_gen = self._station_gen
-        cand_pairs = []
-        cand_stations = []
-        for entry in rank:
-            vc = entry[7]
-            if vc.station.tx_busy_until > now:
-                continue
-            cand_pairs.append((entry[3], entry[4]))
-            st = vc.station
-            if st not in cand_stations:
-                cand_stations.append(st)
-        time_gate = wait_until
-        if config.preemption_enabled and self._caps.preemption:
-            patience_cross = best_ready_at + config.preemption_patience_cycles
-            if now < patience_cross < time_gate:
-                time_gate = patience_cross
-        if comp_gate < time_gate:
-            time_gate = comp_gate
-        self._bp_cache[pidx] = (
-            time_gate,
-            epoch_t,
-            refund_gen,
-            tuple(cand_pairs),
-            tuple((st, station_gen[st.index]) for st in cand_stations),
-            tuple((s, station_gen[s]) for s in memo),
-            tuple(self._victim_scan) if preempt_scanned else (),
-        )
-        if self._probes is not None:
-            self._probes.arb_block(now, pidx, len(cand_pairs))
-        return now + 1
-
-    @staticmethod
-    def _post_transfer_horizon(port: OutputPort, rank, pending) -> int:
-        """Next-activity bound for a port that just granted a packet.
-
-        With the winner's entry removed, an empty ranking and pending
-        heap mean the port has no follow-on work: it need not wake at
-        busy-end at all (new requests wake it explicitly).  Otherwise
-        busy-end (or a later pending eligibility) is the bound.
-        """
-        if rank:
-            return port.busy_until
-        if pending:
-            busy = port.busy_until
-            top = pending[0][0]
-            return busy if busy > top else top
-        return _FAR
-
-    def _rank_admit(self, rank, pending, epoch: int, vc, now: int) -> None:
-        """Score a request into the port's ranking (or park it).
-
-        Requests not yet ready are parked in the pending heap keyed by
-        their earliest-eligibility bound; line-busy entries are ranked
-        anyway (their priority does not depend on the line) and skipped
-        on encounter until the line frees.
-        """
-        packet = vc.packet
-        if vc.epoch != epoch or packet is None or vc.departing:
-            return
-        ready_at = vc.ready_at
-        station = vc.station
-        if ready_at > now:
-            line_free = station.tx_busy_until
-            self._pend_seq += 1
-            heappush(
-                pending,
-                (
-                    ready_at if ready_at >= line_free else line_free,
-                    self._pend_seq, epoch, vc,
-                ),
-            )
-            return
-        table = self._prio_table
-        idx = vc.prio_idx
-        if station.qos:
-            if table.prio_stamps[idx] == table.epoch:
-                priority = table.prio_values[idx]
-            else:
-                priority = self.policy.priority(station, packet, now)
-        else:
-            priority = packet.carried_priority
-        self._pend_seq += 1
-        insort(
-            rank,
-            (priority, packet.created_at, packet.pid, idx,
-             table.versions[idx], epoch, self._pend_seq, vc),
-        )
 
     def _arbitrate_port_scan(self, port: OutputPort, now: int) -> int:
         """Single-scan arbitration pass (cycle-dependent priorities).
@@ -1350,14 +1371,8 @@ class ColumnSimulator:
         list is pruned in place, the best candidate is tracked in one
         scan, and the full sorted ranking is built only when the winner
         cannot advance.  Nothing here is cacheable across cycles, so no
-        blocked-verdict state is kept.
+        blocked-verdict state is kept.  The caller skips busy ports.
         """
-        busy = port.busy_until
-        if busy > now:
-            # Serialising: nothing can be granted, and the scan's only
-            # products (lazy pruning, the wait horizon) can wait until
-            # the busy-end pass.
-            return busy
         requests = port.requests
         wait_until = _FAR
         stamp_carried = self._has_nonqos
@@ -1674,14 +1689,17 @@ class ColumnSimulator:
         now: int,
     ) -> None:
         _, wire_delay, tile_span, next_station_index = segment
-        busy_until = now + packet.size
+        size = packet.size
+        busy_until = now + size
         port.busy_until = busy_until
-        vc.station.tx_busy_until = busy_until
+        station = vc.station
+        station.tx_busy_until = busy_until
         vc.departing = True
-        self._schedule(busy_until, (_EV_FREE, vc, packet.pid))
-        if vc.station.qos:
-            self.policy.on_forward(vc.station, packet, now)
-        self.stats.record_hop(vc.station.kind, tile_span)
+        if station.qos:
+            self.policy.on_forward(station, packet, now)
+        stats = self.stats
+        stats.total_tiles += tile_span
+        stats.hops_by_kind[station.kind] += 1
         if self.trace is not None:
             self.trace.record(
                 now, TraceKind.WIN, packet.pid, packet.flow_id,
@@ -1690,34 +1708,56 @@ class ColumnSimulator:
         if self._probes is not None:
             self._probes.hop(
                 now, packet.pid, packet.flow_id, port.index, port.label,
-                packet.size, next_station_index < 0,
+                size, next_station_index < 0,
             )
+        # Timeline events, scheduled as `_schedule` does: the tail
+        # frees this VC; an ejection also delivers and later ACKs.
+        timeline = self._timeline
+        bucket = timeline.get(busy_until)
+        if bucket is None:
+            timeline[busy_until] = [(_EV_FREE, vc, packet.pid)]
+            heappush(self._event_heap, busy_until)
+        else:
+            bucket.append((_EV_FREE, vc, packet.pid))
         if next_station_index < 0:
-            header_at = now + 1 + wire_delay
-            tail_at = header_at + packet.size - 1
-            self._schedule(tail_at, (_EV_DELIVER, packet, tail_at))
-            ack_distance = abs(packet.dst - packet.src)
-            ack_at = tail_at + ack_distance + self.config.ack_overhead_cycles
-            self._schedule(ack_at, (_EV_ACK, packet.flow_id))
+            tail_at = now + wire_delay + size
+            ack_at = (
+                tail_at + abs(packet.dst - packet.src) + self.config.ack_overhead_cycles
+            )
+            for when, event in (
+                (tail_at, (_EV_DELIVER, packet, tail_at)),
+                (ack_at, (_EV_ACK, packet.flow_id)),
+            ):
+                bucket = timeline.get(when)
+                if bucket is None:
+                    timeline[when] = [event]
+                    heappush(self._event_heap, when)
+                else:
+                    bucket.append(event)
             return
         next_station = self.fabric.stations[next_station_index]
         packet.hop_index += 1
         packet.tiles_done += tile_span
+        ready_at = now + 1 + wire_delay + next_station.va_wait
         target.packet = packet
-        target.ready_at = now + 1 + wire_delay + next_station.va_wait
-        target.arriving_until = now + wire_delay + packet.size
+        target.ready_at = ready_at
+        target.arriving_until = now + wire_delay + size
         target.inbound_port = port
         target.departing = False
         target.prio_idx = next_station.node * self._n_flows + packet.flow_id
         self._station_gen[next_station_index] += 1
         self._occupied_vcs += 1
-        target.epoch += 1
-        next_port = self.fabric.ports[packet.current_segment()[0]]
-        next_port.requests.append((target.epoch, target))
+        epoch = target.epoch + 1
+        target.epoch = epoch
+        index = packet.segments[packet.hop_index][0]
+        self.fabric.ports[index].requests.append((epoch, target))
         # The receiving port may already have been arbitrated this cycle
-        # (or be asleep): schedule it for the new request's earliest
+        # (or be asleep): wake it by the new request's earliest
         # eligibility so the clock cannot skip past it.
-        self._wake_port(next_port.index, target.ready_at)
+        due = self._port_due
+        if ready_at < due[index]:
+            due[index] = ready_at
+            heappush(self._port_heap, (ready_at, index))
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -197,7 +197,11 @@ class FabricBuild:
         injector owns a dedicated slot (its private injection queue head).
     route_builder:
         Compiles a :class:`~repro.network.packet.RouteRequest` into the
-        ``(stations, segments)`` tuples stored on a packet.
+        ``(stations, segments)`` tuples stored on a packet.  It must be
+        pure: a route depends only on the source and destination nodes,
+        the injection station and ``replica_hint % replica_count`` (the
+        source node is implied by the injection station), so the engine
+        builds each distinct route once and shares the tuples.
     replica_count:
         Number of interchangeable route replicas (mesh x2/x4 channel
         replication); the engine round-robins the ``replica_hint``.

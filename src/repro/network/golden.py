@@ -226,14 +226,14 @@ class GoldenColumnSimulator:
         packet budget per source and the metric is completion time.
         """
         deadline = self.cycle + max_cycles
-        while self.cycle < deadline:
-            if all(injector.idle() for injector in self._injectors):
-                return self.cycle
+        while not all(injector.idle() for injector in self._injectors):
+            if self.cycle >= deadline:
+                raise SimulationError(
+                    f"workload did not drain within {max_cycles} cycles "
+                    f"(outstanding={[i.outstanding for i in self._injectors]})"
+                )
             self._step()
-        raise SimulationError(
-            f"workload did not drain within {max_cycles} cycles "
-            f"(outstanding={[i.outstanding for i in self._injectors]})"
-        )
+        return self.cycle
 
     # ------------------------------------------------------------------
     # cycle phases

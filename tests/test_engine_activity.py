@@ -3,16 +3,21 @@
 Targets the paths the activity-tracked rework added or rewired:
 ``run_until_drained``'s aggregate undrained counter (drain detection and
 the deadline :class:`SimulationError`), the frame-rollover
-``carried_priority`` reset inside ``_step``, and the invariants of the
-cycle-skipping machinery (exact run bounds, idle-gap jumps).
+``carried_priority`` reset inside the cycle loop, and the invariants of
+the cycle-skipping machinery (exact run bounds, idle-gap jumps, visited
+plus skipped cycles).
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.network.config import SimulationConfig
+from repro.network.engine import ColumnSimulator
+from repro.network.golden import GoldenColumnSimulator
 from repro.network.packet import FlowSpec
+from repro.obs import ProbeBus
 from repro.qos.pvc import PvcPolicy
+from repro.topologies.registry import get_topology
 
 from helpers import build_simulator
 
@@ -51,6 +56,23 @@ def test_drain_counts_every_finite_injector():
     assert all(
         sim.injector_state(f)["outstanding"] == 0 for f in range(len(flows))
     )
+
+
+@pytest.mark.parametrize("engine", (ColumnSimulator, GoldenColumnSimulator))
+def test_drain_exactly_at_the_budget_returns_the_cycle(engine):
+    # A workload completing at cycle C drains within a budget of C: the
+    # last step lands on the deadline and must still report the drain.
+    config = SimulationConfig(frame_cycles=2000, seed=3)
+
+    def fresh():
+        fabric = get_topology("mesh_x1").build(config)
+        return engine(fabric, [_flow(rate=0.2, limit=10)], PvcPolicy(), config)
+
+    completion = fresh().run_until_drained(max_cycles=20_000)
+    assert 0 < completion < 20_000
+    assert fresh().run_until_drained(max_cycles=completion) == completion
+    with pytest.raises(SimulationError, match="did not drain"):
+        fresh().run_until_drained(max_cycles=completion - 1)
 
 
 def test_drain_with_infinite_flow_never_completes():
@@ -145,39 +167,41 @@ def test_run_bounds_are_exact_under_skipping():
 def test_idle_simulation_is_cheap_in_steps():
     # With nothing to do, the engine should take giant strides: a
     # zero-rate flow over 100k cycles must cost only the frame flushes.
-    steps = 0
     sim = build_simulator(
         "mesh_x1", [_flow(rate=0.0)],
         config=SimulationConfig(frame_cycles=10_000, seed=1),
     )
-    original = sim._step
-
-    def counting_step(limit, **kwargs):
-        nonlocal steps
-        steps += 1
-        original(limit, **kwargs)
-
-    sim._step = counting_step
     sim.run(100_000)
     assert sim.cycle == 100_000
-    assert steps <= 11  # one per frame boundary, plus the first cycle
+    assert sim.visited_cycles <= 11  # one per frame boundary, plus the first
 
 
 def test_sparse_traffic_skips_most_cycles():
-    steps = 0
     sim = build_simulator(
         "mecs", [_flow(rate=0.002)],
         config=SimulationConfig(frame_cycles=50_000, seed=2),
     )
-    original = sim._step
-
-    def counting_step(limit, **kwargs):
-        nonlocal steps
-        steps += 1
-        original(limit, **kwargs)
-
-    sim._step = counting_step
     sim.run(50_000)
     assert sim.stats.delivered_packets > 0
     # ~40 packets x a dozen interesting cycles each << 50k cycles.
-    assert steps < 5000
+    assert sim.visited_cycles < 5000
+
+
+def test_visited_plus_skipped_cycles_equal_cycles_advanced():
+    sim = build_simulator(
+        "mecs", [_flow(rate=0.01)],
+        config=SimulationConfig(frame_cycles=3000, seed=2),
+    )
+    skipped = 0
+
+    def on_skip(cycle, target):
+        nonlocal skipped
+        skipped += target - cycle - 1
+
+    bus = ProbeBus()
+    bus.subscribe("skip", on_skip)
+    bus.attach(sim)
+    sim.run(7000)
+    sim.run_window(500, 2000)
+    assert skipped > 0
+    assert sim.visited_cycles + skipped == sim.cycle == 9500

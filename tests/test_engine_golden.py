@@ -6,8 +6,10 @@ pre-optimisation engine preserved in :mod:`repro.network.golden` by
 asserting **identical** :meth:`NetworkStats.snapshot` dumps (every
 counter, per-flow vector, latency moment and preempted pid) — and, for
 a preemption-heavy scenario, identical event traces — across a matrix
-of topologies × QoS policies × injection rates, plus the window and
-drain run modes.
+of topologies (replicated meshes under both replica policies
+included) × QoS policies × injection rates, plus the window and drain
+run modes.  The optimised engine's route memo is also checked against
+fresh route builds directly.
 
 Any intentional engine behaviour change must update golden.py in the
 same commit; an unintentional divergence fails here first.
@@ -15,13 +17,15 @@ same commit; an unintentional divergence fails here first.
 
 import pytest
 
-from repro.network.config import SimulationConfig
+from repro.network.config import COLUMN_NODES, SimulationConfig
 from repro.network.engine import ColumnSimulator
 from repro.network.golden import GoldenColumnSimulator
+from repro.network.packet import RouteRequest
 from repro.network.trace import TraceRecorder
 from repro.qos.registry import create_policy
 from repro.scenarios import bursty_workload
-from repro.topologies.registry import get_topology
+from repro.topologies.mesh import REPLICA_PACKET_RR, REPLICA_PER_FLOW
+from repro.topologies.registry import EXTENDED_TOPOLOGY_NAMES, get_topology
 from repro.traffic.workloads import (
     full_column_workload,
     uniform_workload,
@@ -38,11 +42,11 @@ RATES = (0.02, 0.30)
 TOPOLOGIES = ("mesh_x1", "mesh_x2", "mecs", "dps")
 
 
-def _pair(topology, flows_factory, policy_name, config):
+def _pair(topology, flows_factory, policy_name, config, **params):
     """Build (optimised, golden) simulators over identical inputs."""
     sims = []
     for cls in (ColumnSimulator, GoldenColumnSimulator):
-        build = get_topology(topology).build(config)
+        build = get_topology(topology, **params).build(config)
         sims.append(cls(build, flows_factory(), create_policy(policy_name), config))
     return sims
 
@@ -60,6 +64,64 @@ def test_run_mode_matches_golden(topology, policy, rate):
     golden.run(cycles, warmup=cycles // 4)
     assert optimised.stats.snapshot() == golden.stats.snapshot()
     assert optimised.cycle == golden.cycle
+
+
+@pytest.mark.parametrize(
+    "topology, replica_policy",
+    (
+        ("mesh_x4", REPLICA_PACKET_RR),
+        ("mesh_x2", REPLICA_PER_FLOW),
+        ("mesh_x4", REPLICA_PER_FLOW),
+    ),
+)
+@pytest.mark.parametrize("policy", ("pvc", "noqos"))
+def test_replicated_meshes_match_golden(topology, replica_policy, policy):
+    # Replica choice is the one route input beyond (station, destination)
+    # that the optimised engine's route memo keys on.
+    config = SimulationConfig(frame_cycles=1500, seed=5)
+    optimised, golden = _pair(
+        topology, lambda: full_column_workload(0.30), policy, config,
+        replica_policy=replica_policy,
+    )
+    optimised.run(2500, warmup=600)
+    golden.run(2500, warmup=600)
+    assert optimised.stats.snapshot() == golden.stats.snapshot()
+    assert optimised.cycle == golden.cycle
+
+
+_ROUTE_CASES = [
+    (name, replica_policy)
+    for name in EXTENDED_TOPOLOGY_NAMES
+    for replica_policy in (REPLICA_PACKET_RR, REPLICA_PER_FLOW)
+    if name.startswith("mesh_") or replica_policy == REPLICA_PACKET_RR
+]
+
+
+@pytest.mark.parametrize("topology, replica_policy", _ROUTE_CASES)
+def test_route_memo_matches_fresh_route_builds(topology, replica_policy):
+    params = {"replica_policy": replica_policy} if topology.startswith("mesh_") else {}
+    config = SimulationConfig(seed=5)
+    sim = ColumnSimulator(
+        get_topology(topology, **params).build(config),
+        full_column_workload(0.1),
+        create_policy("pvc"),
+        config,
+    )
+    fresh = get_topology(topology, **params).build(config)
+    replicas = fresh.replica_count
+    for injector in sim._injectors:
+        station = injector.station.index
+        for dst in range(COLUMN_NODES):
+            for hint in range(2 * replicas):
+                expected = fresh.route_builder(
+                    RouteRequest(
+                        src_node=injector.spec.node,
+                        dst_node=dst,
+                        injection_station=station,
+                        replica_hint=hint,
+                    )
+                )
+                assert sim._route(injector, dst, hint) == expected
 
 
 @pytest.mark.parametrize("topology", ("mesh_x1", "mecs", "dps"))
